@@ -50,8 +50,7 @@ from ..stages import StageGraph, decompose
 from ..tech import Technology
 from ..trace import NULL_TRACE, Trace
 from .arrival import DEFAULT_INPUT_SLEW, ArrivalMap, propagate
-from .constraints import ClockVerification, verify_two_phase
-from .graph import TimingGraph
+from .constraints import AnalysisMemo, ClockVerification, verify_two_phase
 from .paths import TimingPath, critical_paths
 from .provenance import Explanation, explain_arrival
 
@@ -271,6 +270,7 @@ class TimingAnalyzer:
         self.workers = self.calculator.workers
         self.tech = self.calculator.tech
         self.clock = clock or self._default_clock()
+        self._memo = AnalysisMemo(self.trace)
         self.trace.incr("devices", len(netlist.devices))
         self.trace.incr("stages", len(self.stage_graph))
 
@@ -417,10 +417,22 @@ class TimingAnalyzer:
 
     def notify_changed(self, device_names) -> None:
         """Invalidate cached timing for edited devices (e.g. after a
-        resize), so the next :meth:`analyze` recomputes only the affected
-        stages.  Topology changes (added/removed devices or nodes) need a
-        fresh analyzer; this hook covers parameter edits only.  Atomic
-        with respect to concurrent :meth:`analyze` calls."""
+        width/length resize).
+
+        The next :meth:`analyze` re-extracts only the stages owning a
+        terminal of an edited device.  It reuses everything a size edit
+        cannot change: the structural phases, each phase's clock
+        qualification (switch-level settling), and the device-fact map.
+        It patches the kept timing graphs in place and re-propagates
+        arrivals only forward of the re-extracted arcs.  If the arcs do
+        not keep their shape, or the sources or the analyzed stage set
+        differ, that analysis builds and propagates in full.  The report
+        is identical to a fresh analyzer's either way.
+
+        Topology changes (added/removed devices or nodes, changed gate or
+        clock connections) need a fresh analyzer; this hook covers
+        parameter edits only.  Atomic with respect to concurrent
+        :meth:`analyze` calls."""
         with self._engine_lock:
             self.calculator.invalidate_devices(device_names)
 
@@ -544,6 +556,9 @@ class TimingAnalyzer:
         clone.clock = (
             scenario.clock if scenario.clock is not None else self.clock
         )
+        # Settling reads no device sizes: the sibling shares it.  Its
+        # graphs and arrivals are its own.
+        clone._memo = AnalysisMemo(self.trace, self._memo.settled)
         return clone
 
     def _coverage(self) -> robust.Coverage:
@@ -798,9 +813,10 @@ class TimingAnalyzer:
             sources[(name, RISE)] = t
             sources[(name, FALL)] = t
 
+        memo = self._memo
         with self.trace.timer("extract"):
             arcs = self.calculator.all_arcs(active_clocks=None)
-            graph = TimingGraph.build(arcs)
+            graph = memo.graph(None, arcs)
         with self.trace.timer("propagate"):
             if sources:
                 arrivals = propagate(
@@ -808,7 +824,10 @@ class TimingAnalyzer:
                     sources,
                     self.calculator.slope,
                     source_slew=input_slew,
+                    prior=memo.arrivals.get(("max", None)),
+                    trace=self.trace,
                 )
+                memo.arrivals[("max", None)] = arrivals
             else:
                 # Only reachable under best-effort (no drive points were
                 # downgraded to a diagnostic above): nothing to propagate.
@@ -842,6 +861,7 @@ class TimingAnalyzer:
                 self.clock,
                 input_arrivals=input_arrivals,
                 top_k=top_k,
+                memo=self._memo,
             )
         for phase_result in verification.phases.values():
             self.trace.incr("arrivals", len(phase_result.arrivals))

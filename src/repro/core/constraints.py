@@ -19,6 +19,11 @@ designers could not get from simulation without exhaustive vectors:
 Per-phase analysis re-extracts timing arcs with only that phase's clocks
 active, so conduction through the other phase's latches is cut -- this is
 what makes a two-phase pipeline acyclic phase by phase.
+
+An :class:`AnalysisMemo` carries what a width/length edit cannot change
+from one verification to the next: the clock qualification of each phase,
+and each clock context's timing graph and arrivals, which the next run
+patches and re-propagates instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..clocks import TwoPhaseClock
-from ..delay import FALL, RISE, StageDelayCalculator
+from ..delay import FALL, RISE, StageArc, StageDelayCalculator
 from ..errors import ClockingError
 from ..netlist import DeviceKind, Netlist, Transistor
+from ..trace import NULL_TRACE, Trace
 from .arrival import ArrivalMap, propagate
 from .graph import TimingGraph
 from .paths import TimingPath, critical_paths
 
 __all__ = [
+    "AnalysisMemo",
     "PhaseResult",
     "RaceViolation",
     "ClockVerification",
@@ -162,6 +169,55 @@ def qualified_low_nodes(
     return low
 
 
+class AnalysisMemo:
+    """What one analyzer reuses from one analysis to the next.
+
+    * ``settled`` -- :func:`qualified_low_nodes` per phase.  Switch-level
+      settling reads no device sizes, so it holds until the topology
+      changes, and scenario siblings share the dict.
+    * ``graphs`` -- the timing graph of each clock context (a phase name,
+      or None for the all-transparent view); :meth:`graph` patches it when
+      the arcs keep their shape and builds afresh otherwise.
+    * ``arrivals`` -- the last map of each propagation run, the ``prior``
+      the next run re-propagates from.
+
+    Trace counters: ``settle_runs``, ``graph_builds``, ``graph_patches``.
+    """
+
+    def __init__(
+        self,
+        trace: Trace = NULL_TRACE,
+        settled: dict[str, frozenset[str]] | None = None,
+    ):
+        self.trace = trace
+        self.settled = {} if settled is None else settled
+        self.graphs: dict[str | None, TimingGraph] = {}
+        self.arrivals: dict[tuple, ArrivalMap] = {}
+
+    def open_gates(
+        self, netlist: Netlist, clock: TwoPhaseClock, phase: str
+    ) -> frozenset[str]:
+        """:func:`qualified_low_nodes` for ``phase``, settled once."""
+        low = self.settled.get(phase)
+        if low is None:
+            low = qualified_low_nodes(netlist, clock, phase)
+            self.settled[phase] = low
+            self.trace.incr("settle_runs")
+        return low
+
+    def graph(self, context: str | None, arcs: list[StageArc]) -> TimingGraph:
+        """The timing graph of ``context`` over ``arcs``: the kept graph
+        patched in place when it can be, else a fresh build."""
+        graph = self.graphs.get(context)
+        if graph is not None and graph.patch(arcs):
+            self.trace.incr("graph_patches")
+            return graph
+        graph = TimingGraph.build(arcs)
+        self.graphs[context] = graph
+        self.trace.incr("graph_builds")
+        return graph
+
+
 def latch_devices(netlist: Netlist, phase_clocks: frozenset[str]) -> list[Transistor]:
     """Clock-gated pass switches gated by the given clocks."""
     result = []
@@ -209,8 +265,15 @@ def verify_two_phase(
     *,
     input_arrivals: dict[str, float] | None = None,
     top_k: int = 5,
+    memo: AnalysisMemo | None = None,
 ) -> ClockVerification:
-    """Run the full two-phase verification (see module docstring)."""
+    """Run the full two-phase verification (see module docstring).
+
+    ``memo`` carries settling, graphs and arrivals over from the previous
+    call with the same memo; the result is the same either way.
+    """
+    if memo is None:
+        memo = AnalysisMemo()
     clock.check(netlist)
     input_arrivals = input_arrivals or {}
     for name in input_arrivals:
@@ -227,9 +290,9 @@ def verify_two_phase(
 
     for phase in clock.phases:
         active = clock.clock_nodes(netlist, phase)
-        open_gates = qualified_low_nodes(netlist, clock, phase)
+        open_gates = memo.open_gates(netlist, clock, phase)
         arcs = calculator.all_arcs(active_clocks=active, open_gates=open_gates)
-        graph = TimingGraph.build(arcs)
+        graph = memo.graph(phase, arcs)
 
         sources: dict[tuple[str, str], float] = {}
         for clk in active:
@@ -242,7 +305,14 @@ def verify_two_phase(
             sources.setdefault((name, RISE), time)
             sources.setdefault((name, FALL), time)
 
-        arrivals = propagate(graph, sources, calculator.slope)
+        arrivals = propagate(
+            graph,
+            sources,
+            calculator.slope,
+            prior=memo.arrivals.get(("max", phase)),
+            trace=memo.trace,
+        )
+        memo.arrivals[("max", phase)] = arrivals
 
         # Everything launched during the phase must settle before the phase
         # ends -- including nodes written through *qualified* switches
@@ -267,7 +337,7 @@ def verify_two_phase(
     from .mindelay import cross_phase_margins  # local import: avoid cycle
 
     verification.overlap_margins = cross_phase_margins(
-        netlist, calculator, clock
+        netlist, calculator, clock, memo=memo
     )
     return verification
 
@@ -310,10 +380,18 @@ def _find_races(
     # Same-stage: two latches of the phase on one conduction path.  The
     # receiving node of one latch reaching the data side of another through
     # the phase-active pass network means both are transparent together.
+    stage_of_device = {
+        name: stage.index
+        for stage in calculator.graph
+        for name in stage.device_names
+    }
+    latches_of_stage: dict[int | None, list[Transistor]] = {}
+    for dev in latches:
+        latches_of_stage.setdefault(stage_of_device.get(dev.name), []).append(
+            dev
+        )
     for stage in calculator.graph:
-        member_latches = [
-            d for d in latches if d.name in set(stage.device_names)
-        ]
+        member_latches = latches_of_stage.get(stage.index, ())
         if len(member_latches) < 2:
             continue
         edges = calculator._pass_edges(

@@ -24,22 +24,41 @@ from dataclasses import dataclass
 from ..clocks import TwoPhaseClock
 from ..delay import FALL, RISE, StageDelayCalculator
 from ..netlist import Netlist
-from .arrival import Arrival, ArrivalMap
-from .constraints import latch_devices, storage_nodes_of_phase
+from ..trace import NULL_TRACE, Trace
+from .arrival import Arrival, ArrivalMap, repropagate
+from .constraints import AnalysisMemo, latch_devices, storage_nodes_of_phase
 from .graph import TimingGraph
 
 __all__ = ["propagate_min", "OverlapMargin", "cross_phase_margins"]
+
+#: ``settings`` tag of min-delay maps (see :func:`repro.core.arrival.repropagate`).
+_MIN = "min"
 
 
 def propagate_min(
     graph: TimingGraph,
     sources: dict[tuple[str, str], float],
+    *,
+    prior: ArrivalMap | None = None,
+    trace: Trace = NULL_TRACE,
 ) -> ArrivalMap:
     """Earliest-arrival propagation (contamination delays).
 
     Takes the minimum over incoming arcs and uses intrinsic arc delays
-    with no slope penalty -- the fastest consistent corner.
+    with no slope penalty -- the fastest consistent corner.  ``prior``
+    and ``trace`` work as in :func:`repro.core.arrival.propagate`.
     """
+    if prior is not None:
+        arrivals = repropagate(
+            graph,
+            sources,
+            prior,
+            _MIN,
+            lambda amap, node: _earliest(graph, amap, sources, node),
+            trace,
+        )
+        if arrivals is not None:
+            return arrivals
     arrivals = ArrivalMap()
     for (node, transition), time in sources.items():
         existing = arrivals.get(node, transition)
@@ -76,7 +95,51 @@ def propagate_min(
                         arc=arc,
                     )
                 )
+    arrivals._basis = (graph, graph.epoch, tuple(sources.items()), _MIN)
+    trace.incr("arrivals_recomputed", len(arrivals))
     return arrivals
+
+
+def _earliest(graph, amap, sources, node):
+    """The rise and fall arrivals a full :func:`propagate_min` sweep
+    leaves at ``node``: candidates in sweep order, only a strictly
+    earlier one replacing the best so far."""
+    best = {}
+    for transition in (RISE, FALL):
+        time = sources.get((node, transition))
+        if time is not None:
+            best[transition] = Arrival(
+                node=node, transition=transition, time=time, slew=0.0
+            )
+    arcs_from = graph.arcs_from
+    for trigger, start, stop in graph.fan_in().get(node, ()):
+        arcs = arcs_from[trigger][start:stop]
+        for transition in (RISE, FALL):
+            incoming = amap.get((trigger, transition))
+            if incoming is None:
+                continue
+            for arc in arcs:
+                out_transition = (
+                    (FALL if transition == RISE else RISE)
+                    if arc.inverting
+                    else transition
+                )
+                timing = arc.timing(out_transition)
+                if timing is None:
+                    continue
+                time = incoming.time + timing.delay
+                existing = best.get(out_transition)
+                if existing is not None and existing.time <= time:
+                    continue
+                best[out_transition] = Arrival(
+                    node=node,
+                    transition=out_transition,
+                    time=time,
+                    slew=0.0,
+                    pred=(trigger, transition),
+                    arc=arc,
+                )
+    return best
 
 
 @dataclass(frozen=True)
@@ -114,15 +177,20 @@ def cross_phase_margins(
     netlist: Netlist,
     calculator: StageDelayCalculator,
     clock: TwoPhaseClock,
+    *,
+    memo: AnalysisMemo | None = None,
 ) -> list[OverlapMargin]:
     """Per direction, the fastest storage-to-opposite-latch path.
 
     Computed on the everything-transparent graph (all clocked switches
     closed): during an overlap, both phases' latches conduct, which is
-    exactly the hazard scenario.
+    exactly the hazard scenario.  ``memo`` carries the graph and arrivals
+    of the previous run forward (see :class:`AnalysisMemo`).
     """
+    if memo is None:
+        memo = AnalysisMemo()
     arcs = calculator.all_arcs(active_clocks=None)
-    graph = TimingGraph.build(arcs)
+    graph = memo.graph(None, arcs)
     margins: list[OverlapMargin] = []
     for phase in clock.phases:
         other = clock.other(phase)
@@ -141,7 +209,11 @@ def cross_phase_margins(
         for node in launch:
             sources[(node, RISE)] = 0.0
             sources[(node, FALL)] = 0.0
-        arrivals = propagate_min(graph, sources)
+        arrivals = propagate_min(
+            graph, sources, prior=memo.arrivals.get(("min", phase)),
+            trace=memo.trace,
+        )
+        memo.arrivals[("min", phase)] = arrivals
 
         best: Arrival | None = None
         for target in capture_inputs:

@@ -568,8 +568,8 @@ class StageDelayCalculator:
         Invalidates the capacitance cache of every terminal node and the
         arc cache of every stage owning one of those nodes -- the exact
         footprint a width change has on the timing model.  Everything else
-        stays cached, which is what makes the optimizer's re-analysis
-        loop cheap.
+        stays cached, including the size-independent device-fact map,
+        which is what makes the optimizer's re-analysis loop cheap.
         """
         nodes: set[str] = set()
         for name in device_names:
@@ -577,9 +577,10 @@ class StageDelayCalculator:
             nodes.update((dev.gate, dev.source, dev.drain))
         for node in nodes:
             self._cap_cache.pop(node, None)
-        self._device_facts = None
-        # Any forked worker snapshot predates this edit; the persistent
-        # pool rebinds (re-forks) on the next pooled sweep.
+        # The device-fact map (gate, one-hot group, flow legality,
+        # boundary) reads no device size, so it stays.  Any forked worker
+        # snapshot predates this edit; the persistent pool rebinds
+        # (re-forks) on the next pooled sweep.
         self._pool_epoch += 1
         stale = set()
         for node in nodes:
@@ -1680,9 +1681,9 @@ class StageDelayCalculator:
 
         Maps each device name to ``(gate, group, source, out_of_source,
         out_of_drain, source_is_boundary, drain_is_boundary)``.  Built once
-        per calculator (and rebuilt after :meth:`invalidate_devices`), so
-        the flow/one-hot/boundary lookups run once per device instead of
-        once per (stage, transition, edge).
+        per calculator and kept across size edits (no fact depends on
+        ``w``/``l``), so the flow/one-hot/boundary lookups run once per
+        device instead of once per (stage, transition, edge).
         """
         facts = self._device_facts
         if facts is None:
@@ -2381,8 +2382,18 @@ def _pool_init(calc: "StageDelayCalculator") -> None:
     parent's, keeping extracted arc lists bit-identical to serial
     extraction.  The inherited pool bookkeeping is dropped so a worker
     can never touch its parent's executor.
+
+    The parent's signal handlers are dropped too.  A worker inherits,
+    say, ``repro serve``'s graceful-shutdown handler; run in the worker,
+    it would drain a server the worker does not own and leave the worker
+    alive after its owner terminates it, stalling the owner's exit while
+    the executor joins it.  A worker dies on SIGTERM, and ignores SIGINT
+    (a terminal's Ctrl-C reaches the whole process group; the owner
+    handles it and reaps its workers).
     """
     global _POOL_CALC, _POOL_RUN_TOKEN
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _POOL_CALC = calc
     _POOL_RETARGETED.clear()
     _POOL_RUN_TOKEN = None

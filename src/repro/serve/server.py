@@ -128,6 +128,7 @@ class TimingServer:
         self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._serving = False
+        self._serve_thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -148,6 +149,7 @@ class TimingServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`stop` is called."""
         self._serving = True
+        self._serve_thread = threading.current_thread()
         self.httpd.serve_forever()
 
     def stop(self, drain_timeout: float = 10.0) -> None:
@@ -177,7 +179,12 @@ class TimingServer:
                 target=self.httpd.shutdown, daemon=True
             )
             shutdown_thread.start()
-            shutdown_thread.join(timeout=drain_timeout)
+            # Called on the serving thread itself (a signal handler runs
+            # there, between serve_forever's polls), shutdown() cannot
+            # finish until this returns: serve_forever exits on its next
+            # poll, so waiting would only stall for the whole timeout.
+            if threading.current_thread() is not self._serve_thread:
+                shutdown_thread.join(timeout=drain_timeout)
         # If serve_forever() never ran there is nothing to shut down --
         # shutdown() would block forever on socketserver's is-shut-down
         # event, which only serve_forever() ever sets.
@@ -448,6 +455,10 @@ def _bind_handler(server: TimingServer):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Replies go out as two sends (headers, then body); with Nagle on,
+        # the second waits for the client's delayed ACK (~40 ms) on every
+        # keep-alive request.  The stdlib sets TCP_NODELAY when this is on.
+        disable_nagle_algorithm = True
         # The daemon's log is its /stats endpoint; per-request stderr
         # chatter would swamp a busy server.
         def log_message(self, format, *args):  # noqa: A002

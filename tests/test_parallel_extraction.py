@@ -7,6 +7,7 @@ touches recompute.
 """
 
 import multiprocessing
+import signal
 
 import pytest
 
@@ -276,6 +277,29 @@ class TestPersistentPool:
         finally:
             shutdown_pool()
 
+    def test_workers_drop_the_owners_signal_handlers(self):
+        # An owner with its own SIGTERM handler (``repro serve``) must not
+        # hand it to its workers: a worker running it would survive the
+        # owner's terminate() and stall the owner's exit.
+        shutdown_pool()
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            tv = TimingAnalyzer(
+                random_logic(400, seed=7), workers=2, executor="process"
+            )
+            tv.calculator.all_arcs(parallel=True)
+            executor, warm = stage_delay._POOL.acquire(tv.calculator, 2)
+            assert warm
+            assert executor.submit(
+                signal.getsignal, signal.SIGTERM
+            ).result(timeout=30) == signal.SIG_DFL
+            assert executor.submit(
+                signal.getsignal, signal.SIGINT
+            ).result(timeout=30) == signal.SIG_IGN
+        finally:
+            shutdown_pool()
+            signal.signal(signal.SIGTERM, previous)
+
 
 class TestInvalidation:
     def test_notify_changed_recomputes_only_affected_stage(self):
@@ -308,17 +332,24 @@ class TestInvalidation:
         assert again.max_delay == base.max_delay
         assert set(tv.calculator._arc_cache) == set(populated)
 
-    def test_invalidate_devices_clears_cap_and_fact_caches(self):
+    def test_invalidate_devices_clears_cap_cache_keeps_facts(self):
         net = ripple_adder(4)
         tv = TimingAnalyzer(net)
         tv.analyze()
         calc = tv.calculator
         assert calc._cap_cache and calc._device_facts is not None
+        facts = calc._device_facts
 
         target = next(iter(net.devices))
         dev = net.device(target)
+        dev.w *= 1.5
+        dev.l *= 0.8
         calc.invalidate_devices([target])
-        assert calc._device_facts is None
+        # No device fact depends on w/l: the map survives the edit and
+        # equals a rebuild from the edited netlist.
+        assert calc._device_facts is facts
+        calc._device_facts = None
+        assert calc._device_fact_map() == facts
         for node in (dev.gate, dev.source, dev.drain):
             assert node not in calc._cap_cache
 

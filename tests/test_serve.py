@@ -321,6 +321,26 @@ class TestServerEndpoints:
         status, _, _ = request(port, "POST", "/designs/chain/analyze", {})
         assert status == 404
 
+    def test_keep_alive_replies_do_not_stall(self, server, chain_sim):
+        # Headers and body leave in two sends; without TCP_NODELAY the
+        # body waits out the client's delayed ACK (~40 ms) per request.
+        port = server.port
+        request(port, "POST", "/designs/chain", {"sim": chain_sim})
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            latencies = []
+            for _ in range(11):
+                started = time.perf_counter()
+                conn.request("POST", "/designs/chain/analyze", body="{}")
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200 and payload["ok"] is True
+        finally:
+            conn.close()
+        warm = sorted(latencies[1:])  # the first request is the cold run
+        assert warm[len(warm) // 2] < 0.020
+
     def test_error_mapping(self, server, chain_sim):
         port = server.port
         cases = [
