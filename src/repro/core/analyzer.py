@@ -186,8 +186,8 @@ class TimingAnalyzer:
         pool when the measured crossover heuristic predicts a win
         (device count vs. pool warmth), staying serial otherwise;
         results are bit-identical to serial extraction either way.
-    executor:
-        Pool flavour: ``"process"`` (fork), ``"thread"``, or ``"auto"``.
+        The pool forks its workers; on a platform without ``fork``
+        every sweep is serial.
     trace:
         Optional :class:`repro.trace.Trace` collecting per-phase timers
         (``erc`` / ``flow`` / ``stages`` / ``extract`` / ``propagate`` /
@@ -228,7 +228,6 @@ class TimingAnalyzer:
         max_paths: int = 4096,
         run_erc: bool = True,
         workers: int | str = 1,
-        executor: str = "auto",
         trace: Trace | None = None,
         on_error: str = robust.STRICT,
     ):
@@ -261,7 +260,6 @@ class TimingAnalyzer:
             max_paths=max_paths,
             tech=tech,
             workers=workers,
-            executor=executor,
             trace=self.trace,
             on_error=self.on_error,
         )

@@ -23,8 +23,12 @@ sub-network, with TV's value-independent worst-casing:
 
 The RC tree metric is selected by ``model``: ``"elmore"`` (default),
 ``"lumped"``, ``"pr-min"``, or ``"pr-max"`` (ablation experiment R-T6).
-Path enumeration is exact up to ``max_paths`` simple paths per arc; if the
-cap is hit the arc is marked ``truncated`` (never silently).
+Every family finds its worst path with one search,
+:meth:`StageDelayCalculator._worst_paths`: a simple-path walk that is
+exact up to ``max_paths`` target hits per walk; if the cap is hit every
+arc timed from that walk is marked ``truncated`` (never silently).  One
+walk serves many triggers at once by labelling paths with the gates of
+their devices.
 
 Throughput
 ----------
@@ -39,8 +43,8 @@ channel-connected components they are independent, and
 worker pool (``parallel=True`` / ``workers=N`` / ``workers="auto"``)
 with a deterministic stage-index merge order.
 
-The process flavour of that pool is **persistent**: one module-level
-fork pool (:data:`_POOL`) is started lazily and reused across
+That pool is a **persistent** fork pool: one module-level pool
+(:data:`_POOL`) is started lazily and reused across
 ``all_arcs`` calls, clock corners, and repeated runs of the same
 calculator, so the fork cost is paid once per calculator instead of once
 per sweep.  Workers attach the calculator -- netlist, stage graph, and
@@ -54,7 +58,8 @@ barrel-shifter matrix -- cannot serialize a whole chunk of small ones.
 ``workers="auto"`` applies a measured **crossover heuristic**: serial
 below :data:`PARALLEL_MIN_DEVICES` (pool already warm) or
 :data:`PARALLEL_COLD_MIN_DEVICES` (pool must cold-start), and always
-serial on a single-CPU host.  :func:`shutdown_pool` (registered
+serial on a single-CPU host or on a platform without ``fork``.
+:func:`shutdown_pool` (registered
 ``atexit``) tears the pool down idempotently; a timed-out or broken pool
 is terminated -- never reused and never orphaned.  See
 ``repro/bench/perf.py`` for the regression harness that gates these
@@ -109,8 +114,7 @@ DELAY_MODELS = ("elmore", "lumped", "pr-min", "pr-max")
 _CROSSING = 0.5
 
 #: Crossover floor when the persistent pool is already **warm** for this
-#: calculator (or the executor is thread-based, which has no startup
-#: cost): below this device count ``all_arcs`` extracts serially --
+#: calculator: below this device count ``all_arcs`` extracts serially --
 #: dispatch and result traffic would dominate the work.  An explicit
 #: ``parallel=True`` overrides it.
 PARALLEL_MIN_DEVICES = 1024
@@ -140,6 +144,11 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _fork_available() -> bool:
+    """True if this platform can fork the extraction pool's workers."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def auto_workers() -> int:
@@ -369,17 +378,14 @@ class StageDelayCalculator:
         Slope-correction model (used by the analyzer; stored here so all
         timing policy lives in one object).
     max_paths:
-        Cap on simple-path enumeration per arc.
+        Cap on target hits per path-search walk (see :meth:`_worst_paths`).
     workers:
         Default fan-out width of :meth:`all_arcs`: an int (1 = serial)
         or :data:`WORKERS_AUTO` (``"auto"``) to resolve the width from
         the host CPU count and pick serial vs. parallel per sweep with
-        the :func:`parallel_crossover` heuristic.
-    executor:
-        ``"process"``, ``"thread"``, or ``"auto"`` (fork-based processes
-        where the platform has them, threads otherwise).  The process
-        flavour runs on the module's persistent pool (see
-        :func:`shutdown_pool`).
+        the :func:`parallel_crossover` heuristic.  Pooled sweeps run on
+        the module's persistent fork pool (see :func:`shutdown_pool`);
+        on a platform without ``fork`` every sweep is serial.
     trace:
         Optional :class:`repro.trace.Trace` receiving the supervision
         counters (``extract_retries``, ``extract_timeouts``,
@@ -410,17 +416,12 @@ class StageDelayCalculator:
         max_paths: int = 4096,
         tech: Technology | None = None,
         workers: int | str = 1,
-        executor: str = "auto",
         trace=None,
         on_error: str = robust.STRICT,
     ):
         if model not in DELAY_MODELS:
             raise StageError(
                 f"unknown delay model {model!r}; choose from {DELAY_MODELS}"
-            )
-        if executor not in ("auto", "process", "thread"):
-            raise StageError(
-                f"unknown executor {executor!r}; choose auto/process/thread"
             )
         self.netlist = netlist
         self.graph = graph
@@ -429,7 +430,6 @@ class StageDelayCalculator:
         self.max_paths = max_paths
         self.tech = tech or netlist.tech
         self.workers = _validate_workers(workers)
-        self.executor = executor
         #: Persistent-pool binding: identity of this calculator plus an
         #: epoch bumped by :meth:`invalidate_devices`, so a forked worker
         #: snapshot is never reused after a device edit.
@@ -627,7 +627,6 @@ class StageDelayCalculator:
             max_paths=self.max_paths,
             tech=tech,
             workers=self.workers,
-            executor=self.executor,
             trace=self.trace,
             on_error=self.on_error,
         )
@@ -711,7 +710,8 @@ class StageDelayCalculator:
         :data:`PARALLEL_COLD_MIN_DEVICES`).  ``workers`` may be an int
         or ``"auto"`` (width from :func:`auto_workers`);
         ``parallel=True`` forces the pool (bumping the width to at least
-        2); ``parallel=False`` forces the serial path.  The decision is
+        2); ``parallel=False`` forces the serial path.  A platform without
+        ``fork`` always takes the serial path.  The decision is
         visible as the ``extract_parallel_sweeps`` /
         ``extract_serial_sweeps`` trace counters.  Stages are
         channel-connected components, hence independent, and results are
@@ -730,12 +730,14 @@ class StageDelayCalculator:
         resolved = auto_workers() if spec == WORKERS_AUTO else spec
         if parallel is None:
             use_pool = resolved > 1 and parallel_crossover(
-                len(self.netlist.devices), pool_warm=self._pool_is_warm()
+                len(self.netlist.devices), pool_warm=_POOL.warm_for(self)
             )
         else:
             use_pool = bool(parallel)
             if use_pool and resolved < 2:
                 resolved = max(2, available_cpus())
+        # Pool workers are forked; without fork the sweep stays serial.
+        use_pool = use_pool and _fork_available()
         if self._term_source is not None and use_pool:
             # Pooled symbolic sweep: the *source* extracts on the pool
             # (terms travel back over the wire); this calculator then
@@ -817,26 +819,6 @@ class StageDelayCalculator:
     # ------------------------------------------------------------------
     # Parallel fan-out.
     # ------------------------------------------------------------------
-    def _executor_kind(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "process"
-        return "thread"
-
-    def _pool_is_warm(self) -> bool:
-        """True if a pooled sweep would start with zero setup cost.
-
-        Thread pools have no meaningful startup, so they always count as
-        warm (this also preserves the historical crossover floor for the
-        thread executor); the process flavour is warm only while the
-        persistent pool holds live workers forked from *this*
-        calculator's current snapshot.
-        """
-        if self._executor_kind() == "thread":
-            return True
-        return _POOL.warm_for(self)
-
     def _work_chunks(self, indices: list[int], workers: int) -> list[list[int]]:
         """Batch stage indices into chunks of similar *estimated work*.
 
@@ -882,8 +864,8 @@ class StageDelayCalculator:
         with exponential backoff (``task_retries``/``retry_backoff``), and
         whatever still failed after the last attempt falls back to the
         serial path simply by leaving the cache unfilled.  A pool that
-        cannot start at all (no fork, pickling failure) degrades the same
-        way.  A ``KeyboardInterrupt`` mid-sweep tears the persistent pool
+        cannot start at all (e.g. the OS refuses the fork) degrades the
+        same way.  A ``KeyboardInterrupt`` mid-sweep tears the persistent pool
         down (terminating live workers) before propagating, so Ctrl-C
         never leaves orphans.
         """
@@ -896,7 +878,6 @@ class StageDelayCalculator:
         ]
         if len(missing) < 2:
             return
-        kind = self._executor_kind()
         pending = self._work_chunks(missing, workers)
         backoff = self.retry_backoff
         try:
@@ -912,14 +893,9 @@ class StageDelayCalculator:
                     time.sleep(backoff)
                     backoff *= 2
                 try:
-                    if kind == "process":
-                        pending = self._run_process_pool(
-                            pending, active_clocks, open_gates, workers
-                        )
-                    else:
-                        pending = self._run_thread_pool(
-                            pending, active_clocks, open_gates, workers
-                        )
+                    pending = self._run_process_pool(
+                        pending, active_clocks, open_gates, workers
+                    )
                 except KeyboardInterrupt:
                     raise
                 except Exception:
@@ -1028,42 +1004,6 @@ class StageDelayCalculator:
             _POOL.discard()
         return failed
 
-    def _run_thread_pool(
-        self, chunks, active_clocks, open_gates, workers
-    ) -> list[list[int]]:
-        """One supervised thread-pool attempt; returns the failed chunks.
-
-        ``arcs()`` writes the cache itself; distinct stages mean distinct
-        keys, so concurrent writes never collide.  Threads cannot be
-        killed, but a timed-out chunk is still marked failed so the
-        caller retries or falls back while the straggler finishes in the
-        background.
-        """
-
-        def one(indices: list[int]) -> None:
-            for index in indices:
-                robust.fault_point("worker-task", index)
-                self.arcs(self.graph[index], active_clocks, open_gates)
-
-        failed: list[list[int]] = []
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(chunks))
-        )
-        try:
-            futures = [(pool.submit(one, chunk), chunk) for chunk in chunks]
-            for future, chunk in futures:
-                try:
-                    future.result(timeout=self.task_timeout)
-                except concurrent.futures.TimeoutError:
-                    self.trace.incr("extract_timeouts")
-                    future.add_done_callback(_swallow_result)
-                    failed.append(chunk)
-                except Exception:
-                    failed.append(chunk)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return failed
-
     def _clock_open(
         self,
         dev: Transistor,
@@ -1085,11 +1025,7 @@ class StageDelayCalculator:
     def _gate_arcs(self, ctx: StageContext):
         """Ordinary logic arcs: a gate input switches, an output moves."""
         stage = ctx.stage
-        pulled_up = ctx.pulled_up
-        fall_edges = ctx.conduction_edges(FALL)
         fall_adjacency = ctx.conduction_adjacency(FALL)
-        rise_pass_edges = ctx.pass_edges(RISE)
-        rise_adjacency = ctx.pass_adjacency(RISE)
 
         # Triggers: external gate inputs, plus *stage outputs* gating member
         # devices -- pass networks can merge a gate's input and output into
@@ -1106,25 +1042,27 @@ class StageDelayCalculator:
         }
         arcs = []
         for output in stage.outputs:
-            # One enumeration serves every trigger: the DFS records, for
-            # each gate appearing on a discharge path, the worst path that
-            # includes a device it gates.
-            fall_by_gate = self._worst_fall_by_gate(
-                ctx, output, fall_edges, fall_adjacency
+            # One walk serves every trigger: labelled by gate, it keeps
+            # the worst discharge path through a device each gate drives.
+            fall_by_gate = self._worst_timings(
+                output,
+                {self.netlist.gnd},
+                fall_adjacency,
+                FALL,
+                labels=ctx.gate_of,
+                respect_flow=False,
             )
-            rise = self._rise_via_pullup(
-                ctx, output, pulled_up, rise_pass_edges, rise_adjacency
-            )
+            rise = self._rise_via_pullup(ctx, output)
             for trigger in triggers:
                 fall = fall_by_gate.get(trigger)
                 if fall is None:
                     # In ratioed logic a gate input influences an output
                     # only through a discharge path: the same pull-down
                     # whose turn-off lets the load raise the node.  No
-                    # discharge path (under flow + one-hot constraints)
-                    # means no arc -- attaching the trigger-independent
-                    # rise here would fabricate couplings, e.g. between
-                    # unrelated register-file cells sharing a bitline.
+                    # discharge path (under one-hot constraints) means no
+                    # arc -- attaching the trigger-independent rise here
+                    # would fabricate couplings, e.g. between unrelated
+                    # register-file cells sharing a bitline.
                     continue
                 arcs.append(
                     StageArc(
@@ -1139,128 +1077,6 @@ class StageDelayCalculator:
                 )
         return arcs
 
-    def _worst_fall_by_gate(
-        self,
-        ctx: StageContext,
-        output: str,
-        fall_edges: list[tuple[str, str, float, str]],
-        adjacency: dict,
-    ) -> dict[str, ArcTiming]:
-        """Worst discharge path per triggering gate, in one enumeration.
-
-        Enumerates flow-consistent simple paths from ``output`` to gnd once,
-        and for every gate node appearing on a path keeps the
-        maximum-resistance path through one of its devices.  Equivalent to
-        running :meth:`_worst_path` with ``must_include`` per trigger, at a
-        fraction of the cost on wide stages.
-        """
-        found = self._enumerate_paths(
-            output, {self.netlist.gnd}, fall_edges, adjacency=adjacency
-        )
-        if found is None:
-            return {}
-        paths, truncated = found
-        gate_of = ctx.gate_of
-        best: dict[str, tuple[float, list]] = {}
-        for path_edges, r_sum in paths:
-            gates = {gate_of[name] for _a, _b, _r, name in path_edges}
-            for gate in gates:
-                if gate not in best or r_sum > best[gate][0]:
-                    best[gate] = (r_sum, path_edges)
-        result: dict[str, ArcTiming] = {}
-        timing_cache: dict[int, ArcTiming] = {}
-        for gate, (_r, path_edges) in best.items():
-            key = id(path_edges)
-            timing = timing_cache.get(key)
-            if timing is None:
-                spine = [
-                    (b, a, r, name)
-                    for (a, b, r, name) in reversed(path_edges)
-                ]
-                timing = self._timing_from_spine(
-                    spine,
-                    output,
-                    fall_edges,
-                    adjacency=adjacency,
-                    transition=FALL,
-                )
-                if truncated and not timing.truncated:
-                    timing = _mark_truncated(timing)
-                timing_cache[key] = timing
-            result[gate] = timing
-        return result
-
-    def _enumerate_paths(
-        self,
-        start: str,
-        targets: set[str],
-        edges: list[tuple[str, str, float, str]],
-        *,
-        respect_flow: bool = False,
-        adjacency: dict | None = None,
-    ) -> tuple[list[tuple[list, float]], bool] | None:
-        """All flow-consistent simple paths from ``start`` to a target.
-
-        Returns ``([(edge_list, total_r), ...], truncated)`` or None.
-        Shares traversal rules with :meth:`_worst_path`.
-        """
-        if adjacency is None:
-            adjacency = self._build_adjacency(edges)
-        if start not in adjacency:
-            return None
-
-        paths: list[tuple[list, float]] = []
-        truncated = False
-        path: list[tuple[str, str, float, str]] = []
-        visited = {start}
-        groups_used: dict[int, str] = {}
-
-        def dfs(node: str, r_sum: float) -> None:
-            nonlocal truncated
-            if len(paths) >= self.max_paths:
-                truncated = True
-                return
-            if node in targets:
-                paths.append((list(path), r_sum))
-                return
-            for (
-                neighbor,
-                r,
-                name,
-                gate,
-                group,
-                in_ok,
-                _out_ok,
-                neighbor_boundary,
-            ) in adjacency.get(node, ()):
-                if neighbor in visited:
-                    continue
-                if neighbor_boundary and neighbor not in targets:
-                    continue
-                if respect_flow and not in_ok:
-                    continue
-                if group is not None:
-                    used = groups_used.get(group)
-                    if used is not None and used != gate:
-                        continue
-                    fresh_group = used is None
-                    if fresh_group:
-                        groups_used[group] = gate
-                else:
-                    fresh_group = False
-                visited.add(neighbor)
-                path.append((node, neighbor, r, name))
-                dfs(neighbor, r_sum + r)
-                path.pop()
-                visited.discard(neighbor)
-                if fresh_group:
-                    del groups_used[group]
-
-        dfs(start, 0.0)
-        if not paths:
-            return None
-        return paths, truncated
-
     def _clocked_switch_arcs(self, ctx: StageContext):
         """Clock-gated pass switches: clock rise lets data through.
 
@@ -1269,8 +1085,6 @@ class StageDelayCalculator:
         """
         stage = ctx.stage
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
         rise_adjacency = ctx.pass_adjacency(RISE)
         fall_adjacency = ctx.pass_adjacency(FALL)
         for dev in ctx.devices:
@@ -1286,23 +1100,15 @@ class StageDelayCalculator:
             if source_side is None:
                 continue
             receiving = dev.other_channel(source_side)
+            # Only paths through the switch itself count.
+            labels = {dev.name: dev.gate}
             for output in stage.outputs | ({receiving} & stage.nodes):
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets={source_side},
-                    edges=pass_rise,
-                    must_include={dev.name},
-                    adjacency=rise_adjacency,
-                    transition=RISE,
-                )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets={source_side},
-                    edges=pass_fall,
-                    must_include={dev.name},
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
+                rise = self._worst_timings(
+                    output, {source_side}, rise_adjacency, RISE, labels=labels
+                ).get(dev.gate)
+                fall = self._worst_timings(
+                    output, {source_side}, fall_adjacency, FALL, labels=labels
+                ).get(dev.gate)
                 if rise is None and fall is None:
                     continue
                 arcs.append(
@@ -1328,6 +1134,7 @@ class StageDelayCalculator:
         precharged nodes (their own devices shunt any longer path).
         """
         stage = ctx.stage
+        vdd = self.netlist.vdd
         arcs = []
         pass_rise = ctx.pass_edges(RISE)
         for dev in ctx.devices:
@@ -1335,56 +1142,41 @@ class StageDelayCalculator:
                 continue
             if ctx.clock_open(dev):
                 continue
-            node = (
-                dev.source if dev.drain == self.netlist.vdd else dev.drain
-            )
+            node = dev.source if dev.drain == vdd else dev.drain
             siblings = {
-                (d.source if d.drain == self.netlist.vdd else d.drain)
+                (d.source if d.drain == vdd else d.drain)
                 for d in ctx.devices
                 if self._is_precharge(d)
                 and d.gate == dev.gate
                 and d.name != dev.name
             }
             if siblings:
-                filtered_edges = [
-                    e
-                    for e in pass_rise
-                    if e[0] not in siblings and e[1] not in siblings
-                ]
-                filtered_adjacency = None
+                search_adjacency = self._build_adjacency(
+                    [
+                        e
+                        for e in pass_rise
+                        if e[0] not in siblings and e[1] not in siblings
+                    ]
+                )
             else:
-                filtered_edges = pass_rise
-                filtered_adjacency = ctx.pass_adjacency(RISE)
-            r_pre = device_resistance(self.tech, dev, "precharge", RISE)
-            outputs = stage.outputs | ({node} & stage.nodes)
-            for output in outputs:
+                search_adjacency = ctx.pass_adjacency(RISE)
+            head = (
+                vdd,
+                node,
+                device_resistance(self.tech, dev, "precharge", RISE),
+                dev.name,
+            )
+            for output in stage.outputs | ({node} & stage.nodes):
                 if output != node and output in siblings:
                     continue  # it has its own (parallel) precharger
-                if output == node:
-                    spine = [(self.netlist.vdd, node, r_pre, dev.name)]
-                else:
-                    tail = self._worst_path(
-                        start=output,
-                        targets={node},
-                        edges=filtered_edges,
-                        must_include=set(),
-                        adjacency=filtered_adjacency,
-                    )
-                    if tail is None:
-                        continue
-                    path_edges, _ = tail
-                    spine = [(self.netlist.vdd, node, r_pre, dev.name)]
-                    spine.extend(
-                        (b, a, r, name)
-                        for (a, b, r, name) in reversed(path_edges)
-                    )
-                timing = self._timing_from_spine(
-                    spine,
+                timing = self._rise_from_vdd(
+                    head,
                     output,
-                    ctx.conduction_edges(RISE),
-                    adjacency=ctx.conduction_adjacency(RISE),
-                    transition=RISE,
+                    search_adjacency,
+                    ctx.conduction_adjacency(RISE),
                 )
+                if timing is None:
+                    continue
                 arcs.append(
                     StageArc(
                         stage_index=stage.index,
@@ -1406,39 +1198,27 @@ class StageDelayCalculator:
         non-inverting rise-only arc from the gate.
         """
         stage = ctx.stage
+        vdd = self.netlist.vdd
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
         rise_adjacency = ctx.pass_adjacency(RISE)
         for dev in ctx.devices:
             if dev.kind is not DeviceKind.DEP or dev.is_load:
                 continue
-            if self.netlist.vdd not in dev.channel_nodes:
+            if vdd not in dev.channel_nodes:
                 continue
-            node = dev.other_channel(self.netlist.vdd)
-            r_up = device_resistance(self.tech, dev, "pullup", RISE)
+            node = dev.other_channel(vdd)
+            head = (
+                vdd,
+                node,
+                device_resistance(self.tech, dev, "pullup", RISE),
+                dev.name,
+            )
             for output in stage.outputs | ({node} & stage.nodes):
-                if output == node:
-                    spine = [(self.netlist.vdd, node, r_up, dev.name)]
-                else:
-                    tail = self._worst_path(
-                        start=output,
-                        targets={node},
-                        edges=pass_rise,
-                        must_include=set(),
-                        adjacency=rise_adjacency,
-                    )
-                    if tail is None:
-                        continue
-                    path_edges, _ = tail
-                    spine = [(self.netlist.vdd, node, r_up, dev.name)]
-                    spine.extend(
-                        (b, a, r, name)
-                        for (a, b, r, name) in reversed(path_edges)
-                    )
-                timing = self._timing_from_spine(
-                    spine, output, pass_rise, adjacency=rise_adjacency,
-                    transition=RISE,
+                timing = self._rise_from_vdd(
+                    head, output, rise_adjacency, rise_adjacency
                 )
+                if timing is None:
+                    continue
                 arcs.append(
                     StageArc(
                         stage_index=stage.index,
@@ -1467,8 +1247,9 @@ class StageDelayCalculator:
         stage = ctx.stage
         vdd = self.netlist.vdd
         gnd = self.netlist.gnd
-        pass_devices = [
-            d
+        # Eligible pass device -> its select: the labels of the walks.
+        select_of = {
+            d.name: d.gate
             for d in ctx.devices
             if d.kind is DeviceKind.ENH
             and d.source != vdd
@@ -1478,45 +1259,38 @@ class StageDelayCalculator:
             and not self.netlist.is_clock(d.gate)
             and not ctx.clock_open(d)
             and (d.gate not in stage.nodes or d.gate in stage.outputs)
-        ]
-        if not pass_devices:
+        }
+        if not select_of:
             return []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
-        rise_adjacency = ctx.pass_adjacency(RISE)
-        fall_adjacency = ctx.pass_adjacency(FALL)
-        pulled_up = ctx.pulled_up
-        targets = set(pulled_up)
+        targets = set(ctx.pulled_up)
         for boundary in stage.boundary:
             if not self.netlist.is_rail(boundary):
                 targets.add(boundary)
         if not targets:
             return []
 
+        # One labelled walk per (output, transition) serves every select.
+        rise_adjacency = ctx.pass_adjacency(RISE)
+        fall_adjacency = ctx.pass_adjacency(FALL)
+        by_output = {
+            output: (
+                self._worst_timings(
+                    output, targets, rise_adjacency, RISE, labels=select_of
+                ),
+                self._worst_timings(
+                    output, targets, fall_adjacency, FALL, labels=select_of
+                ),
+            )
+            for output in stage.outputs
+        }
         arcs = []
-        triggers: dict[str, set[str]] = {}
-        for dev in pass_devices:
-            triggers.setdefault(dev.gate, set()).add(dev.name)
-        for trigger, gated in triggers.items():
+        for trigger in dict.fromkeys(select_of.values()):
             for output in stage.outputs:
                 if output == trigger:
                     continue
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets=targets,
-                    edges=pass_rise,
-                    must_include=gated,
-                    adjacency=rise_adjacency,
-                    transition=RISE,
-                )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets=targets,
-                    edges=pass_fall,
-                    must_include=gated,
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
+                rise_by_select, fall_by_select = by_output[output]
+                rise = rise_by_select.get(trigger)
+                fall = fall_by_select.get(trigger)
                 if rise is None and fall is None:
                     continue
                 arcs.append(
@@ -1536,8 +1310,6 @@ class StageDelayCalculator:
         """Signal injected at an externally driven boundary channel node."""
         stage = ctx.stage
         arcs = []
-        pass_rise = ctx.pass_edges(RISE)
-        pass_fall = ctx.pass_edges(FALL)
         rise_adjacency = ctx.pass_adjacency(RISE)
         fall_adjacency = ctx.pass_adjacency(FALL)
         for boundary in stage.boundary:
@@ -1552,22 +1324,12 @@ class StageDelayCalculator:
             if not flows_in:
                 continue
             for output in stage.outputs:
-                rise = self._worst_tree_delay(
-                    start=output,
-                    targets={boundary},
-                    edges=pass_rise,
-                    must_include=set(),
-                    adjacency=rise_adjacency,
-                    transition=RISE,
-                )
-                fall = self._worst_tree_delay(
-                    start=output,
-                    targets={boundary},
-                    edges=pass_fall,
-                    must_include=set(),
-                    adjacency=fall_adjacency,
-                    transition=FALL,
-                )
+                rise = self._worst_timings(
+                    output, {boundary}, rise_adjacency, RISE
+                ).get(None)
+                fall = self._worst_timings(
+                    output, {boundary}, fall_adjacency, FALL
+                ).get(None)
                 if rise is None and fall is None:
                     continue
                 arcs.append(
@@ -1743,64 +1505,65 @@ class StageDelayCalculator:
             )
         return adjacency
 
-    def _conducts_toward(self, name: str, from_node: str, to_node: str) -> bool:
-        """True if device ``name`` can carry signal ``from_node -> to_node``.
-
-        Unresolved (UNKNOWN) devices are treated as bidirectional -- the
-        calculator must stay usable before flow inference has run.
-        """
-        dev = self.netlist.device(name)
-        if dev.flow is FlowDirection.UNKNOWN:
-            return True
-        return dev.flows_out_of(from_node)
-
-    def _worst_path(
+    def _worst_paths(
         self,
         start: str,
         targets: set[str],
-        edges: list[tuple[str, str, float, str]],
-        must_include: set[str],
+        adjacency: dict,
         *,
+        labels: dict[str, str] | None = None,
         respect_flow: bool = True,
-        adjacency: dict | None = None,
-    ) -> tuple[list[tuple[str, str, float, str]], bool] | None:
-        """Maximum-resistance flow-consistent path from ``start`` to a target.
+    ) -> tuple[dict, bool]:
+        """Maximum-resistance simple paths from ``start`` to a target.
 
-        Edges are ``(a, b, r, device_name)``; the path must use at least one
-        device from ``must_include`` (if non-empty).  The search walks
-        *backward* from the measured output toward the driving point, so a
-        hop from ``node`` to ``neighbor`` requires the device to conduct
+        The calculator's one path search.  It walks *backward* from the
+        measured output toward the driving point, so with ``respect_flow``
+        a hop from ``node`` to ``neighbor`` requires the device to conduct
         signal ``neighbor -> node``; this is what prevents physically
-        meaningless paths that snake against the inferred signal flow.
-        One-hot assertions (:meth:`Netlist.add_exclusive_group`) prune
-        paths that would need two mutually exclusive switches closed.
+        meaningless paths that snake against the inferred signal flow.  A
+        walk never enters a boundary node other than a target, and
+        one-hot assertions (:meth:`Netlist.add_exclusive_group`) prune
+        paths that would need two mutually exclusive switches closed.  A
+        target counts only after at least one hop, so an output that is
+        itself a driving point still reaches the others.
 
-        Returns the edge list ordered from ``start`` toward the target and
-        a truncation flag, or None if no qualifying path exists.
+        ``labels`` maps device names to labels, and a path carries the
+        labels of its devices.  The result maps every carried label to the
+        worst path carrying it; without ``labels`` every path carries the
+        one label ``None``.  Ties keep the path found first.  Each path is
+        an edge list ordered from ``start`` toward the target.  The flag
+        is set when the walk stopped at ``max_paths`` target hits.
         """
-        if adjacency is None:
-            adjacency = self._build_adjacency(edges)
-        if start not in adjacency:
-            return None
-
-        best: list[tuple[str, str, float, str]] | None = None
-        best_r = -1.0
+        best: dict = {}
+        if start not in adjacency or targets <= {start}:
+            return best, False
+        best_r: dict = {}
         examined = 0
         truncated = False
+        max_paths = self.max_paths
         path: list[tuple[str, str, float, str]] = []
         visited = {start}
         groups_used: dict[int, str] = {}
 
-        def dfs(node: str, r_sum: float, included: bool) -> None:
-            nonlocal best, best_r, examined, truncated
-            if examined >= self.max_paths:
+        def dfs(node: str, r_sum: float) -> None:
+            nonlocal examined, truncated
+            if examined >= max_paths:
                 truncated = True
                 return
-            if node in targets:
+            if node in targets and path:
                 examined += 1
-                if (included or not must_include) and r_sum > best_r:
-                    best_r = r_sum
-                    best = list(path)
+                if labels is None:
+                    carried = (None,)
+                else:
+                    carried = {labels.get(edge[3]) for edge in path}
+                    carried.discard(None)
+                hit = None
+                for label in carried:
+                    if r_sum > best_r.get(label, -1.0):
+                        if hit is None:
+                            hit = list(path)
+                        best_r[label] = r_sum
+                        best[label] = hit
                 return
             for (
                 neighbor,
@@ -1829,50 +1592,95 @@ class StageDelayCalculator:
                     fresh_group = False
                 visited.add(neighbor)
                 path.append((node, neighbor, r, name))
-                dfs(neighbor, r_sum + r, included or name in must_include)
+                dfs(neighbor, r_sum + r)
                 path.pop()
                 visited.discard(neighbor)
                 if fresh_group:
                     del groups_used[group]
 
-        dfs(start, 0.0, False)
-        if best is None:
-            return None
+        dfs(start, 0.0)
         return best, truncated
 
-    def _worst_tree_delay(
+    def _worst_timings(
         self,
         start: str,
         targets: set[str],
-        edges: list[tuple[str, str, float, str]],
-        must_include: set[str],
+        adjacency: dict,
+        transition: str,
         *,
-        adjacency: dict | None = None,
-        transition: str | None = None,
-    ) -> ArcTiming | None:
-        """Worst path from ``start`` back to a target, evaluated as a tree.
+        labels: dict[str, str] | None = None,
+        respect_flow: bool = True,
+    ) -> dict:
+        """:meth:`_worst_paths`, each path evaluated as an RC tree.
 
-        The tree root is the reached target (the driving point, i.e. the
-        first node of the reversed spine); the path is the spine, and every
-        other conducting edge hangs capacitive branches.  ``transition``
-        names the edge set's transition for parametric term building.
+        The tree root is the reached target (the driving point); the path
+        is the spine, and every other edge of ``adjacency`` hangs
+        capacitive branches.  Labels sharing a path share its timing.
         """
-        found = self._worst_path(
-            start, targets, edges, must_include, adjacency=adjacency
+        best, truncated = self._worst_paths(
+            start, targets, adjacency, labels=labels, respect_flow=respect_flow
         )
-        if found is None:
-            return None
-        path_edges, truncated = found
-        # path_edges run start -> target; the spine must run root -> start.
-        spine = [
+        timings: dict = {}
+        by_path: dict[int, ArcTiming] = {}
+        for label, path_edges in best.items():
+            timing = by_path.get(id(path_edges))
+            if timing is None:
+                timing = self._spine_timing(
+                    [], path_edges, start, adjacency, transition, truncated
+                )
+                by_path[id(path_edges)] = timing
+            timings[label] = timing
+        return timings
+
+    def _rise_from_vdd(
+        self,
+        head: tuple[str, str, float, str],
+        output: str,
+        search_adjacency: dict,
+        branch_adjacency: dict,
+    ) -> ArcTiming | None:
+        """Rise of ``output`` charged from vdd through the ``head`` edge.
+
+        ``head`` is ``(vdd, node, r, name)``: a load, precharge device or
+        follower charging ``node``.  The rest of the spine is the worst
+        path in ``search_adjacency`` from ``output`` back to ``node``
+        (none when ``output`` is ``node``); ``branch_adjacency`` hangs the
+        branches.  None if ``output`` cannot reach ``node``.
+        """
+        node = head[1]
+        path_edges: list = []
+        truncated = False
+        if output != node:
+            best, truncated = self._worst_paths(
+                output, {node}, search_adjacency
+            )
+            path_edges = best.get(None)
+            if path_edges is None:
+                return None
+        return self._spine_timing(
+            [head], path_edges, output, branch_adjacency, RISE, truncated
+        )
+
+    def _spine_timing(
+        self,
+        head: list[tuple[str, str, float, str]],
+        path_edges: list[tuple[str, str, float, str]],
+        output: str,
+        adjacency: dict,
+        transition: str,
+        truncated: bool,
+    ) -> ArcTiming:
+        """Time the spine ``head`` + ``path_edges`` reversed, root first.
+
+        ``path_edges`` run from ``output`` toward the driving point, as
+        :meth:`_worst_paths` returns them; the spine must run root ->
+        ``output``.
+        """
+        spine = head + [
             (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
         ]
-        timing = self._timing_from_spine(
-            spine, start, edges, adjacency=adjacency, transition=transition
-        )
-        if truncated and not timing.truncated:
-            timing = _mark_truncated(timing)
-        return timing
+        timing = self._timing_from_spine(spine, output, adjacency, transition)
+        return _mark_truncated(timing) if truncated else timing
 
     def _spine_groups(
         self, spine: list[tuple[str, str, float, str]]
@@ -1918,19 +1726,17 @@ class StageDelayCalculator:
         self,
         spine: list[tuple[str, str, float, str]],
         output: str,
-        branch_edges: list[tuple[str, str, float, str]],
-        *,
-        adjacency: dict | None = None,
-        transition: str | None = None,
+        adjacency: dict,
+        transition: str,
     ) -> ArcTiming:
         """Evaluate the configured delay metric for a spine's RC tree.
 
         The spine is the resistive path from the driving point (``root``,
         the first spine node) to ``output``; every other conducting edge
-        hangs a capacitive branch.  Branch traversal follows signal flow
-        outward from the spine, never crosses rails or boundary nodes
-        (incompressible sources), and honours one-hot assertions against
-        the gates used on the spine.
+        of ``adjacency`` hangs a capacitive branch.  Branch traversal
+        follows signal flow outward from the spine, never crosses rails or
+        boundary nodes (incompressible sources), and honours one-hot
+        assertions against the gates used on the spine.
 
         For the default Elmore model the metric is folded into the tree
         walk itself (no tree object): every spine node lies on the
@@ -1940,19 +1746,17 @@ class StageDelayCalculator:
         :class:`RCTree` path below, so the two produce bit-identical
         delays.
 
-        With ``self.parametric`` set (and ``transition`` provided by the
-        caller -- the transition of the edge set the spine came from),
-        the walk additionally records a replayable term: the spine
-        resistances as symbolic atoms (:meth:`_edge_recipe`) and every
-        visited node's prefix index, in visit order, so
+        With ``self.parametric`` set the walk additionally records a
+        replayable term: the spine resistances as symbolic atoms
+        (:meth:`_edge_recipe`; ``transition`` is that of the edge set the
+        spine came from) and every visited node's prefix index, in visit
+        order, so
         :mod:`repro.delay.parametric` can re-run the identical
         arithmetic at any technology point.
         """
         if self.model != "elmore":
-            return self._timing_from_spine_tree(
-                spine, output, branch_edges, adjacency=adjacency
-            )
-        build_term = self.parametric and transition is not None
+            return self._timing_from_spine_tree(spine, output, adjacency)
+        build_term = self.parametric
         root = spine[0][0]
         node_cap = self._node_cap
         used_devices = []
@@ -1983,8 +1787,6 @@ class StageDelayCalculator:
         r_output = r_root
 
         spine_groups = self._spine_groups(spine)
-        if adjacency is None:
-            adjacency = self._build_adjacency(branch_edges)
         frontier = deque(child for _p, child, _r, _n in spine)
         while frontier:
             current = frontier.popleft()
@@ -2037,9 +1839,7 @@ class StageDelayCalculator:
         self,
         spine: list[tuple[str, str, float, str]],
         output: str,
-        branch_edges: list[tuple[str, str, float, str]],
-        *,
-        adjacency: dict | None = None,
+        adjacency: dict,
     ) -> ArcTiming:
         """General-model path: build the RC tree explicitly, then evaluate."""
         root = spine[0][0]
@@ -2050,8 +1850,6 @@ class StageDelayCalculator:
             used_devices.append(name)
 
         spine_groups = self._spine_groups(spine)
-        if adjacency is None:
-            adjacency = self._build_adjacency(branch_edges)
         frontier = deque(child for _p, child, _r, _n in spine)
         while frontier:
             current = frontier.popleft()
@@ -2132,37 +1930,20 @@ class StageDelayCalculator:
         return cached
 
     def _rise_via_pullup(
-        self,
-        ctx: StageContext,
-        output: str,
-        pulled_up: dict[str, float],
-        pass_edges: list[tuple[str, str, float, str]],
-        adjacency: dict,
+        self, ctx: StageContext, output: str
     ) -> ArcTiming | None:
         """Worst rise of ``output``: vdd -> load -> pass path -> output."""
+        adjacency = ctx.pass_adjacency(RISE)
         best: ArcTiming | None = None
-        for node, r_load in pulled_up.items():
-            if node == output:
-                spine = [(self.netlist.vdd, node, r_load, f"load@{node}")]
-            else:
-                tail = self._worst_path(
-                    start=output,
-                    targets={node},
-                    edges=pass_edges,
-                    must_include=set(),
-                    adjacency=adjacency,
-                )
-                if tail is None:
-                    continue
-                path_edges, _trunc = tail
-                spine = [(self.netlist.vdd, node, r_load, f"load@{node}")]
-                spine.extend(
-                    (b, a, r, name) for (a, b, r, name) in reversed(path_edges)
-                )
-            timing = self._timing_from_spine(
-                spine, output, pass_edges, adjacency=adjacency,
-                transition=RISE,
+        for node, r_load in ctx.pulled_up.items():
+            timing = self._rise_from_vdd(
+                (self.netlist.vdd, node, r_load, f"load@{node}"),
+                output,
+                adjacency,
+                adjacency,
             )
+            if timing is None:
+                continue
             # _worse keeps the incumbent on ties, exactly like the
             # strict `>` comparison this replaces, and wraps the terms
             # in a "max" node so corners re-decide the winner.

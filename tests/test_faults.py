@@ -56,7 +56,7 @@ def serial_json(net) -> str:
 
 def supervised_json(net, trace=None, **calc_overrides) -> str:
     """Analyze with a forced process pool and return the JSON report."""
-    tv = TimingAnalyzer(net, workers=2, executor="process", trace=trace)
+    tv = TimingAnalyzer(net, workers=2, trace=trace)
     for attr, value in calc_overrides.items():
         setattr(tv.calculator, attr, value)
     # Force the pool below the PARALLEL_MIN_DEVICES auto threshold.

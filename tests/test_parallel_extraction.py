@@ -1,13 +1,14 @@
 """Tests for the parallel arc-extraction engine and its caching contract.
 
 The pool must be a pure performance feature: identical arcs, identical
-reports, identical ``AnalysisResult`` figures, for both executor flavours.
-Cache invalidation must stay surgical -- only the stages a device edit
-touches recompute.
+reports, identical ``AnalysisResult`` figures.  It forks its workers, so a
+platform without fork sweeps serially.  Cache invalidation must stay
+surgical -- only the stages a device edit touches recompute.
 """
 
 import multiprocessing
 import signal
+import threading
 
 import pytest
 
@@ -37,50 +38,68 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+needs_fork = pytest.mark.skipif(
+    not _fork_available(), reason="fork not available"
+)
+
+
+@pytest.fixture(autouse=True)
+def _reap_pool():
+    """No test leaves forked workers behind for the next one."""
+    yield
+    shutdown_pool()
+
+
 def _arc_key(arc):
     return (arc.stage_index, arc.trigger, arc.output, arc.via)
 
 
+@needs_fork
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda: ripple_adder(6),
-            lambda: barrel_shifter(4),
-            lambda: random_logic(400, seed=7),
-        ],
+        [lambda: ripple_adder(6), lambda: barrel_shifter(4)],
+        ids=["ripple_adder", "barrel_shifter"],
     )
-    def test_arc_lists_identical_thread_executor(self, make):
+    def test_arc_lists_identical_pooled(self, make):
         serial = TimingAnalyzer(make(), workers=1)
         arcs_serial = serial.calculator.all_arcs(parallel=False)
 
-        pooled = TimingAnalyzer(make(), workers=2, executor="thread")
+        pooled = TimingAnalyzer(make(), workers=2)
         arcs_pooled = pooled.calculator.all_arcs(parallel=True, workers=2)
 
         assert arcs_serial == arcs_pooled
 
-    @pytest.mark.skipif(not _fork_available(), reason="fork not available")
     def test_arc_lists_identical_process_executor(self):
         serial = TimingAnalyzer(random_logic(400, seed=7), workers=1)
         arcs_serial = serial.calculator.all_arcs(parallel=False)
 
-        pooled = TimingAnalyzer(
-            random_logic(400, seed=7), workers=2, executor="process"
-        )
+        pooled = TimingAnalyzer(random_logic(400, seed=7), workers=2)
         arcs_pooled = pooled.calculator.all_arcs(parallel=True, workers=2)
 
         assert arcs_serial == arcs_pooled
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_analysis_results_identical(self, executor):
-        if executor == "process" and not _fork_available():
-            pytest.skip("fork not available")
+    # The caller is the main thread of the process, or a worker thread
+    # such as a ``repro serve`` request handler; either one forks the pool.
+    @pytest.mark.parametrize("caller", ["thread", "process"])
+    def test_analysis_results_identical(self, caller):
         serial_result = TimingAnalyzer(random_logic(300, seed=7)).analyze()
 
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7), workers=2, executor=executor
-        )
-        tv.calculator.all_arcs(parallel=True, workers=2)
+        shutdown_pool()
+        trace = Trace(logger=None)
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=2, trace=trace)
+        if caller == "thread":
+            worker = threading.Thread(
+                target=tv.calculator.all_arcs,
+                kwargs={"parallel": True, "workers": 2},
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        else:
+            tv.calculator.all_arcs(parallel=True, workers=2)
+        assert trace.counters.get("extract_parallel_sweeps", 0) == 1
+        assert trace.counters.get("extract_pool_failures", 0) == 0
         pooled_result = tv.analyze()
 
         assert pooled_result.max_delay == serial_result.max_delay
@@ -94,9 +113,7 @@ class TestParallelMatchesSerial:
 
     def test_two_phase_circuit_identical_reports(self):
         serial = TimingAnalyzer(register_file(2, 2)[0]).analyze()
-        pooled_tv = TimingAnalyzer(
-            register_file(2, 2)[0], workers=2, executor="thread"
-        )
+        pooled_tv = TimingAnalyzer(register_file(2, 2)[0], workers=2)
         pooled_tv.calculator.all_arcs(parallel=True, workers=2)
         pooled = pooled_tv.analyze()
         serial.analysis_seconds = 0.0
@@ -104,9 +121,7 @@ class TestParallelMatchesSerial:
         assert pooled.report() == serial.report()
 
     def test_parallel_fills_the_same_cache_keys(self):
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7), workers=2, executor="thread"
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=2)
         tv.calculator.all_arcs(parallel=True, workers=2)
         pooled_keys = set(tv.calculator._arc_cache)
         arcs = tv.calculator.all_arcs(parallel=False)  # pure cache walk
@@ -140,9 +155,29 @@ class TestWorkerConfiguration:
         assert TimingAnalyzer(ripple_adder(4), workers=1).workers == 1
         assert TimingAnalyzer(ripple_adder(4), workers="auto").workers == "auto"
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(StageError):
-            TimingAnalyzer(ripple_adder(4), executor="mpi")
+    def test_host_without_fork_sweeps_serially(self, monkeypatch):
+        # No fork, no pool: even a forced parallel sweep is serial, with
+        # no pool start attempted and so no failure to retry.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        shutdown_pool()
+        trace = Trace(logger=None)
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=2, trace=trace)
+        arcs = tv.calculator.all_arcs(parallel=True)
+
+        assert trace.counters.get("extract_serial_sweeps", 0) == 1
+        for counter in (
+            "extract_parallel_sweeps",
+            "extract_pool_cold_starts",
+            "extract_pool_failures",
+            "extract_retries",
+            "extract_fallback_stages",
+        ):
+            assert trace.counters.get(counter, 0) == 0, counter
+        assert not pool_diagnostics()["live"]
+        serial = TimingAnalyzer(random_logic(300, seed=7))
+        assert arcs == serial.calculator.all_arcs(parallel=False)
 
 
 class TestCrossoverHeuristic:
@@ -173,38 +208,30 @@ class TestCrossoverHeuristic:
     def test_below_threshold_takes_serial_path(self, monkeypatch):
         monkeypatch.setattr(stage_delay, "available_cpus", lambda: 4)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7),
-            workers=4,
-            executor="thread",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=4, trace=trace)
         tv.calculator.all_arcs()
         assert trace.counters.get("extract_serial_sweeps", 0) == 1
         assert trace.counters.get("extract_parallel_sweeps", 0) == 0
 
+    @needs_fork
     def test_above_threshold_takes_parallel_path(self, monkeypatch):
         monkeypatch.setattr(stage_delay, "available_cpus", lambda: 4)
         monkeypatch.setattr(stage_delay, "PARALLEL_MIN_DEVICES", 100)
+        monkeypatch.setattr(stage_delay, "PARALLEL_COLD_MIN_DEVICES", 100)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(300, seed=7),
-            workers=4,
-            executor="thread",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(300, seed=7), workers=4, trace=trace)
         tv.calculator.all_arcs()
         assert trace.counters.get("extract_parallel_sweeps", 0) == 1
         assert trace.counters.get("extract_serial_sweeps", 0) == 0
 
-    @pytest.mark.skipif(not _fork_available(), reason="fork not available")
+    @needs_fork
     def test_forced_parallel_tiny_circuit_matches_serial(self):
         import json
 
         serial = json.dumps(
             TimingAnalyzer(inverter_chain(4), workers=1).analyze().to_json()
         )
-        tv = TimingAnalyzer(inverter_chain(4), workers=2, executor="process")
+        tv = TimingAnalyzer(inverter_chain(4), workers=2)
         tv.calculator.all_arcs(parallel=True)
         try:
             assert json.dumps(tv.analyze().to_json()) == serial
@@ -232,17 +259,12 @@ class TestWorkersAuto:
             TimingAnalyzer(ripple_adder(4), workers="many")
 
 
-@pytest.mark.skipif(not _fork_available(), reason="fork not available")
+@needs_fork
 class TestPersistentPool:
     def test_pool_reused_across_sweeps(self):
         shutdown_pool()
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(
-            random_logic(400, seed=7),
-            workers=2,
-            executor="process",
-            trace=trace,
-        )
+        tv = TimingAnalyzer(random_logic(400, seed=7), workers=2, trace=trace)
         try:
             tv.calculator.all_arcs(parallel=True)
             assert trace.counters.get("extract_pool_cold_starts", 0) == 1
@@ -260,7 +282,7 @@ class TestPersistentPool:
         shutdown_pool()
         net = random_logic(400, seed=7)
         trace = Trace(logger=None)
-        tv = TimingAnalyzer(net, workers=2, executor="process", trace=trace)
+        tv = TimingAnalyzer(net, workers=2, trace=trace)
         try:
             tv.calculator.all_arcs(parallel=True)
             assert trace.counters.get("extract_pool_cold_starts", 0) == 1
@@ -284,9 +306,7 @@ class TestPersistentPool:
         shutdown_pool()
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
-            tv = TimingAnalyzer(
-                random_logic(400, seed=7), workers=2, executor="process"
-            )
+            tv = TimingAnalyzer(random_logic(400, seed=7), workers=2)
             tv.calculator.all_arcs(parallel=True)
             executor, warm = stage_delay._POOL.acquire(tv.calculator, 2)
             assert warm
@@ -353,9 +373,10 @@ class TestInvalidation:
         for node in (dev.gate, dev.source, dev.drain):
             assert node not in calc._cap_cache
 
+    @needs_fork
     def test_edit_then_parallel_reanalysis_matches_fresh(self):
         net = random_logic(300, seed=7)
-        tv = TimingAnalyzer(net, workers=2, executor="thread")
+        tv = TimingAnalyzer(net, workers=2)
         tv.calculator.all_arcs(parallel=True, workers=2)
         tv.analyze()
 
