@@ -554,9 +554,9 @@ class TimingAnalyzer:
         clone.clock = (
             scenario.clock if scenario.clock is not None else self.clock
         )
-        # Settling reads no device sizes: the sibling shares it.  Its
-        # graphs and arrivals are its own.
-        clone._memo = AnalysisMemo(self.trace, self._memo.settled)
+        # Settling, latches and storage read no device sizes: the sibling
+        # shares them.  Its graphs, arrivals and races are its own.
+        clone._memo = self._memo.sibling()
         return clone
 
     def _coverage(self) -> robust.Coverage:

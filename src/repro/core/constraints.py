@@ -22,8 +22,10 @@ what makes a two-phase pipeline acyclic phase by phase.
 
 An :class:`AnalysisMemo` carries what a width/length edit cannot change
 from one verification to the next: the clock qualification of each phase,
-and each clock context's timing graph and arrivals, which the next run
-patches and re-propagates instead of rebuilding.
+the latches and storage nodes of each phase, and each phase's race list
+(while its timing graph keeps its shape); and each clock context's timing
+graph and arrivals, which the next run patches and re-propagates instead
+of rebuilding.
 """
 
 from __future__ import annotations
@@ -172,27 +174,48 @@ def qualified_low_nodes(
 class AnalysisMemo:
     """What one analyzer reuses from one analysis to the next.
 
-    * ``settled`` -- :func:`qualified_low_nodes` per phase.  Switch-level
-      settling reads no device sizes, so it holds until the topology
-      changes, and scenario siblings share the dict.
+    These read no device size, so they hold until the topology changes
+    (scenario siblings share them, see :meth:`sibling`):
+
+    * ``settled`` -- :func:`qualified_low_nodes` per phase;
+    * ``latches`` -- :func:`latch_devices` per clock set;
+    * ``storage`` -- the nodes the latches of a clock set write;
+    * ``stage_of_device`` -- device name -> stage index.
+
+    Kept per analyzer:
+
     * ``graphs`` -- the timing graph of each clock context (a phase name,
       or None for the all-transparent view); :meth:`graph` patches it when
-      the arcs keep their shape and builds afresh otherwise.
+      the arcs keep their shape and builds afresh otherwise;
     * ``arrivals`` -- the last map of each propagation run, the ``prior``
-      the next run re-propagates from.
+      the next run re-propagates from;
+    * ``races`` -- each phase's race list with the graph it was found on.
+      A patch keeps every arc's trigger and output, hence reachability,
+      so the list holds while :meth:`graph` returns that same object.
 
     Trace counters: ``settle_runs``, ``graph_builds``, ``graph_patches``.
     """
 
-    def __init__(
-        self,
-        trace: Trace = NULL_TRACE,
-        settled: dict[str, frozenset[str]] | None = None,
-    ):
+    def __init__(self, trace: Trace = NULL_TRACE):
         self.trace = trace
-        self.settled = {} if settled is None else settled
+        self.settled: dict[str, frozenset[str]] = {}
+        self.latches: dict[frozenset[str], list[Transistor]] = {}
+        self.storage: dict[frozenset[str], frozenset[str]] = {}
+        self.stage_of_device: dict[str, int] = {}
         self.graphs: dict[str | None, TimingGraph] = {}
         self.arrivals: dict[tuple, ArrivalMap] = {}
+        self.races: dict[str, tuple[TimingGraph, list[RaceViolation]]] = {}
+
+    def sibling(self) -> "AnalysisMemo":
+        """A memo for a scenario sibling: it shares the size-independent
+        parts with this one and keeps its own graphs, arrivals and
+        races."""
+        memo = AnalysisMemo(self.trace)
+        memo.settled = self.settled
+        memo.latches = self.latches
+        memo.storage = self.storage
+        memo.stage_of_device = self.stage_of_device
+        return memo
 
     def open_gates(
         self, netlist: Netlist, clock: TwoPhaseClock, phase: str
@@ -204,6 +227,37 @@ class AnalysisMemo:
             self.settled[phase] = low
             self.trace.incr("settle_runs")
         return low
+
+    def latches_of(
+        self, netlist: Netlist, clocks: frozenset[str]
+    ) -> list[Transistor]:
+        """:func:`latch_devices` for ``clocks``, scanned once."""
+        latches = self.latches.get(clocks)
+        if latches is None:
+            latches = latch_devices(netlist, clocks)
+            self.latches[clocks] = latches
+        return latches
+
+    def storage_of(
+        self, netlist: Netlist, clock: TwoPhaseClock, phase: str
+    ) -> frozenset[str]:
+        """:func:`storage_nodes_of_phase`, found once per clock set."""
+        clocks = clock.clock_nodes(netlist, phase)
+        storage = self.storage.get(clocks)
+        if storage is None:
+            storage = _written_nodes(netlist, self.latches_of(netlist, clocks))
+            self.storage[clocks] = storage
+        return storage
+
+    def stage_map(self, calculator: StageDelayCalculator) -> dict[str, int]:
+        """Device name -> index of its stage, built once."""
+        if not self.stage_of_device:
+            self.stage_of_device.update(
+                (name, stage.index)
+                for stage in calculator.graph
+                for name in stage.device_names
+            )
+        return self.stage_of_device
 
     def graph(self, context: str | None, arcs: list[StageArc]) -> TimingGraph:
         """The timing graph of ``context`` over ``arcs``: the kept graph
@@ -252,10 +306,13 @@ def storage_nodes_of_phase(
 ) -> frozenset[str]:
     """Nodes written by the latches of ``phase``."""
     clocks = clock.clock_nodes(netlist, phase)
-    return frozenset(
-        _receiving_terminal(netlist, dev)
-        for dev in latch_devices(netlist, clocks)
-    )
+    return _written_nodes(netlist, latch_devices(netlist, clocks))
+
+
+def _written_nodes(
+    netlist: Netlist, latches: list[Transistor]
+) -> frozenset[str]:
+    return frozenset(_receiving_terminal(netlist, dev) for dev in latches)
 
 
 def verify_two_phase(
@@ -284,7 +341,7 @@ def verify_two_phase(
 
     verification = ClockVerification(clock=clock)
     storage = {
-        phase: storage_nodes_of_phase(netlist, clock, phase)
+        phase: memo.storage_of(netlist, clock, phase)
         for phase in clock.phases
     }
 
@@ -330,9 +387,13 @@ def verify_two_phase(
             critical=top[0] if top else None,
             cut_arc_count=len(graph.cut_arcs),
         )
-        verification.races.extend(
-            _find_races(netlist, calculator, graph, clock, phase, storage[phase])
-        )
+        found = memo.races.get(phase)
+        if found is None or found[0] is not graph:
+            races = _find_races(
+                netlist, calculator, graph, clock, phase, storage[phase], memo
+            )
+            found = memo.races[phase] = (graph, races)
+        verification.races.extend(found[1])
 
     from .mindelay import cross_phase_margins  # local import: avoid cycle
 
@@ -349,10 +410,11 @@ def _find_races(
     clock: TwoPhaseClock,
     phase: str,
     phase_storage: frozenset[str],
+    memo: AnalysisMemo,
 ) -> list[RaceViolation]:
     races: list[RaceViolation] = []
     clocks = clock.clock_nodes(netlist, phase)
-    latches = latch_devices(netlist, clocks)
+    latches = memo.latches_of(netlist, clocks)
     data_sides = {}
     for dev in latches:
         receiving = _receiving_terminal(netlist, dev)
@@ -380,11 +442,7 @@ def _find_races(
     # Same-stage: two latches of the phase on one conduction path.  The
     # receiving node of one latch reaching the data side of another through
     # the phase-active pass network means both are transparent together.
-    stage_of_device = {
-        name: stage.index
-        for stage in calculator.graph
-        for name in stage.device_names
-    }
+    stage_of_device = memo.stage_map(calculator)
     latches_of_stage: dict[int | None, list[Transistor]] = {}
     for dev in latches:
         latches_of_stage.setdefault(stage_of_device.get(dev.name), []).append(
@@ -394,9 +452,9 @@ def _find_races(
         member_latches = latches_of_stage.get(stage.index, ())
         if len(member_latches) < 2:
             continue
-        edges = calculator._pass_edges(
-            stage, calculator.graph.devices_of(stage), RISE, frozenset(clocks)
-        )
+        devices = calculator.graph.devices_of(stage)
+        cut = calculator._cut_set(devices, clocks)
+        edges = calculator._pass_edges(stage, devices, RISE, cut)
         adjacency: dict[str, set[str]] = {}
         for a, b, _r, _n in edges:
             adjacency.setdefault(a, set()).add(b)

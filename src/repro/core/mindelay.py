@@ -26,7 +26,7 @@ from ..delay import FALL, RISE, StageDelayCalculator
 from ..netlist import Netlist
 from ..trace import NULL_TRACE, Trace
 from .arrival import Arrival, ArrivalMap, repropagate
-from .constraints import AnalysisMemo, latch_devices, storage_nodes_of_phase
+from .constraints import AnalysisMemo
 from .graph import TimingGraph
 
 __all__ = ["propagate_min", "OverlapMargin", "cross_phase_margins"]
@@ -194,10 +194,10 @@ def cross_phase_margins(
     margins: list[OverlapMargin] = []
     for phase in clock.phases:
         other = clock.other(phase)
-        launch = storage_nodes_of_phase(netlist, clock, phase)
+        launch = memo.storage_of(netlist, clock, phase)
         capture_inputs: dict[str, str] = {}
         other_clocks = clock.clock_nodes(netlist, other)
-        for dev in latch_devices(netlist, other_clocks):
+        for dev in memo.latches_of(netlist, other_clocks):
             for terminal in dev.channel_nodes:
                 capture_inputs.setdefault(terminal, dev.name)
 

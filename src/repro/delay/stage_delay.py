@@ -34,10 +34,15 @@ Throughput
 ----------
 Extraction is organized around a per-stage :class:`StageContext` that
 computes the conduction/pass edge lists and their adjacency maps **once**
-per ``(stage, active_clocks, open_gates)`` and shares them across all six
-arc-family extractors; adjacency entries pre-resolve the per-device
-lookups (gate, one-hot group, flow legality, boundary-ness) so the
-path-search inner loops run on plain tuples.  Because stages are
+per ``(stage, cut set)`` and shares them across all six arc-family
+extractors; adjacency entries pre-resolve the per-device lookups (gate,
+one-hot group, flow legality, boundary-ness) so the path-search inner
+loops run on plain tuples.  The clock context ``(active_clocks,
+open_gates)`` reaches extraction only as the stage's *cut set* -- the
+member devices it cuts -- so contexts with equal cut sets share one
+extraction through the arc cache's signature keys: a stage with no
+clocked or qualified device is extracted once for the phi1, phi2 and
+all-transparent sweeps of a two-phase analysis.  Because stages are
 channel-connected components they are independent, and
 :meth:`StageDelayCalculator.all_arcs` can fan extraction out over a
 worker pool (``parallel=True`` / ``workers=N`` / ``workers="auto"``)
@@ -262,22 +267,22 @@ class StageArc:
 class StageContext:
     """Shared per-stage extraction state.
 
-    Holds everything the six arc-family extractors need about one
-    ``(stage, active_clocks, open_gates)`` combination, computed lazily and
-    exactly once: resolved member devices, conduction/pass edge lists per
-    transition, their adjacency maps (with per-hop device facts
+    Holds everything the six arc-family extractors need about one stage
+    under one **cut set** -- the names of its member devices that the
+    clock context cuts (:meth:`StageDelayCalculator._cut_set`) -- computed
+    lazily and exactly once: resolved member devices, conduction/pass edge
+    lists per transition, their adjacency maps (with per-hop device facts
     pre-resolved), the pulled-up node table, and the device-name-to-gate
-    map.  Before this existed, every extractor rebuilt its own edge lists
-    and every path search rebuilt its own adjacency dict -- roughly 8 edge
-    builds and 10+ adjacency builds per stage per extraction.
+    map.  The cut is all an extractor learns of the clock context, so a
+    stage's arcs are a function of ``(stage, cut)`` and every context with
+    the same cut shares one extraction.
     """
 
     __slots__ = (
         "calc",
         "stage",
         "devices",
-        "active_clocks",
-        "open_gates",
+        "cut",
         "gate_of",
         "_pass",
         "_cond",
@@ -290,14 +295,12 @@ class StageContext:
         self,
         calc: "StageDelayCalculator",
         stage: Stage,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str],
+        cut: frozenset[str],
     ):
         self.calc = calc
         self.stage = stage
         self.devices = calc.graph.devices_of(stage)
-        self.active_clocks = active_clocks
-        self.open_gates = open_gates
+        self.cut = cut
         self.gate_of = {dev.name: dev.gate for dev in self.devices}
         self._pass: dict[str, list] = {}
         self._cond: dict[str, list] = {}
@@ -307,18 +310,14 @@ class StageContext:
 
     def clock_open(self, dev: Transistor) -> bool:
         """True if the device is cut in this context (see calculator)."""
-        return self.calc._clock_open(dev, self.active_clocks, self.open_gates)
+        return dev.name in self.cut
 
     def pass_edges(self, transition: str) -> list:
         """Pass-network edges for a transition (computed once)."""
         edges = self._pass.get(transition)
         if edges is None:
             edges = self.calc._pass_edges(
-                self.stage,
-                self.devices,
-                transition,
-                self.active_clocks,
-                self.open_gates,
+                self.stage, self.devices, transition, self.cut
             )
             self._pass[transition] = edges
         return edges
@@ -328,11 +327,7 @@ class StageContext:
         edges = self._cond.get(transition)
         if edges is None:
             edges = self.calc._conduction_edges(
-                self.stage,
-                self.devices,
-                transition,
-                self.active_clocks,
-                self.open_gates,
+                self.stage, self.devices, transition, self.cut
             )
             self._cond[transition] = edges
         return edges
@@ -497,29 +492,61 @@ class StageDelayCalculator:
         in the scenario under analysis -- qualified clocks derived from the
         phase (e.g. a word line ``dec AND phi2`` during phi1).  Devices they
         gate are cut exactly like inactive clocks.
+
+        The context reaches extraction only as the stage's cut set
+        (:meth:`_cut_set`), so contexts that cut the same devices share
+        one extraction: the arcs are cached under the context's own key
+        and under the stage's signature key (:meth:`_signature_lookup`).
         """
         cache_key = (stage.index, active_clocks, open_gates)
         cached = self._arc_cache.get(cache_key)
         if cached is not None:
             return cached
+        cached, cut, signature = self._signature_lookup(stage, cache_key)
+        if cached is not None:
+            return cached
+        merged = None
         if self._term_source is not None:
-            evaluated = self._arcs_from_terms(
-                stage, active_clocks, open_gates
-            )
-            if evaluated is not None:
-                self._arc_cache[cache_key] = evaluated
-                return evaluated
-        ctx = StageContext(self, stage, active_clocks, open_gates)
-        raw: list[StageArc] = []
-        raw.extend(self._gate_arcs(ctx))
-        raw.extend(self._clocked_switch_arcs(ctx))
-        raw.extend(self._precharge_arcs(ctx))
-        raw.extend(self._follower_arcs(ctx))
-        raw.extend(self._channel_arcs(ctx))
-        raw.extend(self._select_arcs(ctx))
-        merged = _merge_arcs(raw)
+            merged = self._arcs_from_terms(stage, active_clocks, open_gates)
+        if merged is None:
+            ctx = StageContext(self, stage, cut)
+            raw: list[StageArc] = []
+            raw.extend(self._gate_arcs(ctx))
+            raw.extend(self._clocked_switch_arcs(ctx))
+            raw.extend(self._precharge_arcs(ctx))
+            raw.extend(self._follower_arcs(ctx))
+            raw.extend(self._channel_arcs(ctx))
+            raw.extend(self._select_arcs(ctx))
+            merged = _merge_arcs(raw)
         self._arc_cache[cache_key] = merged
+        self._arc_cache[signature] = merged
         return merged
+
+    def _signature_lookup(
+        self, stage: Stage, cache_key: tuple
+    ) -> tuple[list[StageArc] | None, frozenset[str], tuple]:
+        """Resolve a context-key miss through the stage's clock signature.
+
+        Returns ``(arcs, cut, signature)``: the stage's cut set in the
+        context of ``cache_key``; its signature key, which is the
+        transparent key ``(index, None, frozenset())`` when nothing is
+        cut and ``(index, cut)`` otherwise; and the arcs cached under
+        that key, or None.  A hit is also stored under ``cache_key`` and
+        counted as ``arc_signature_hits``.  The transparent context is
+        its own signature and looks nothing up.
+        """
+        index, active_clocks, open_gates = cache_key
+        if active_clocks is None and not open_gates:
+            return None, frozenset(), cache_key
+        cut = self._cut_set(
+            self.graph.devices_of(stage), active_clocks, open_gates
+        )
+        signature = (index, cut) if cut else (index, None, frozenset())
+        cached = self._arc_cache.get(signature)
+        if cached is not None:
+            self._arc_cache[cache_key] = cached
+            self.trace.incr("arc_signature_hits")
+        return cached, cut, signature
 
     def _arcs_from_terms(
         self,
@@ -857,6 +884,9 @@ class StageDelayCalculator:
     ) -> None:
         """Populate the arc cache for uncached stages using a worker pool.
 
+        Stages whose clock signature is already cached are served from
+        it first (:meth:`_signature_lookup`); only the rest are chunked.
+
         Only fills ``self._arc_cache``; the caller still walks the stages
         in order, so the merged arc list is deterministic and identical to
         serial extraction.  The pool is *supervised*: each task has a
@@ -869,16 +899,17 @@ class StageDelayCalculator:
         down (terminating live workers) before propagating, so Ctrl-C
         never leaves orphans.
         """
-        missing = [
-            stage.index
-            for stage in self.graph
-            if stage.index not in self.quarantined
-            and (stage.index, active_clocks, open_gates)
-            not in self._arc_cache
-        ]
-        if len(missing) < 2:
+        signatures: dict[int, tuple] = {}
+        for stage in self.graph:
+            key = (stage.index, active_clocks, open_gates)
+            if stage.index in self.quarantined or key in self._arc_cache:
+                continue
+            cached, _cut, signature = self._signature_lookup(stage, key)
+            if cached is None:
+                signatures[stage.index] = signature
+        if len(signatures) < 2:
             return
-        pending = self._work_chunks(missing, workers)
+        pending = self._work_chunks(list(signatures), workers)
         backoff = self.retry_backoff
         try:
             for attempt in range(self.task_retries + 1):
@@ -894,7 +925,8 @@ class StageDelayCalculator:
                     backoff *= 2
                 try:
                     pending = self._run_process_pool(
-                        pending, active_clocks, open_gates, workers
+                        pending, active_clocks, open_gates, signatures,
+                        workers,
                     )
                 except KeyboardInterrupt:
                     raise
@@ -912,7 +944,7 @@ class StageDelayCalculator:
             )
 
     def _run_process_pool(
-        self, chunks, active_clocks, open_gates, workers
+        self, chunks, active_clocks, open_gates, signatures, workers
     ) -> list[list[int]]:
         """One supervised pool attempt; returns the chunks that failed.
 
@@ -992,9 +1024,9 @@ class StageDelayCalculator:
                     failed.append(chunk)
                     continue
                 for index, wire_arcs in extracted:
-                    self._arc_cache[
-                        (index, active_clocks, open_gates)
-                    ] = _arcs_from_wire(index, wire_arcs)
+                    arcs = _arcs_from_wire(index, wire_arcs)
+                    self._arc_cache[(index, active_clocks, open_gates)] = arcs
+                    self._arc_cache[signatures[index]] = arcs
         except BaseException:
             _POOL.discard()
             raise
@@ -1017,6 +1049,20 @@ class StageDelayCalculator:
             active_clocks is not None
             and dev.gate not in active_clocks
             and self.netlist.is_clock(dev.gate)
+        )
+
+    def _cut_set(
+        self,
+        devices: list[Transistor],
+        active_clocks: frozenset[str] | None,
+        open_gates: frozenset[str] = frozenset(),
+    ) -> frozenset[str]:
+        """Names of the ``devices`` that :meth:`_clock_open` cuts in a
+        clock context -- all an extractor ever learns of that context."""
+        return frozenset(
+            dev.name
+            for dev in devices
+            if self._clock_open(dev, active_clocks, open_gates)
         )
 
     # ------------------------------------------------------------------
@@ -1387,10 +1433,10 @@ class StageDelayCalculator:
         stage: Stage,
         devices: list[Transistor],
         transition: str,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str] = frozenset(),
+        cut: frozenset[str],
     ) -> list[tuple[str, str, float, str]]:
-        """Resistive edges usable on a discharge path (pulldowns + passes)."""
+        """Resistive edges usable on a discharge path (pulldowns +
+        passes), leaving out the devices in ``cut``."""
         edges = []
         vdd = self.netlist.vdd
         gnd = self.netlist.gnd
@@ -1401,7 +1447,7 @@ class StageDelayCalculator:
             drain = dev.drain
             if source == vdd or drain == vdd:
                 continue  # precharge / vdd switches never discharge
-            if self._clock_open(dev, active_clocks, open_gates):
+            if dev.name in cut:
                 continue
             if source == gnd or drain == gnd:
                 r = device_resistance(self.tech, dev, "pulldown", transition)
@@ -1415,10 +1461,10 @@ class StageDelayCalculator:
         stage: Stage,
         devices: list[Transistor],
         transition: str,
-        active_clocks: frozenset[str] | None,
-        open_gates: frozenset[str] = frozenset(),
+        cut: frozenset[str],
     ) -> list[tuple[str, str, float, str]]:
-        """Resistive edges of the pass network only (no rail terminals)."""
+        """Resistive edges of the pass network only (no rail terminals),
+        leaving out the devices in ``cut``."""
         edges = []
         vdd = self.netlist.vdd
         gnd = self.netlist.gnd
@@ -1429,7 +1475,7 @@ class StageDelayCalculator:
             drain = dev.drain
             if source == vdd or source == gnd or drain == vdd or drain == gnd:
                 continue
-            if self._clock_open(dev, active_clocks, open_gates):
+            if dev.name in cut:
                 continue
             r = device_resistance(self.tech, dev, "pass", transition)
             edges.append((source, drain, r, dev.name))

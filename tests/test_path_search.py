@@ -183,7 +183,7 @@ def _walk_sites(calc, stage):
     """Every (start, targets, adjacency, respect_flow) an extractor walks
     with labels: discharge walks to gnd and pass walks to the select
     targets, each from every stage output."""
-    ctx = StageContext(calc, stage, None, frozenset())
+    ctx = StageContext(calc, stage, frozenset())
     targets = set(ctx.pulled_up)
     targets.update(b for b in stage.boundary if not calc.netlist.is_rail(b))
     for output in stage.outputs:
